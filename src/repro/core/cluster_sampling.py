@@ -1,108 +1,88 @@
 """Cluster sampling designs: RCS, WCS, TWCS (Sec 5.2).
 
-All samplers are DataFrame->DataFrame transformations over
+The first stage runs in the driver. Once per evaluation the framework
+collects (subject, size) from the cluster-stats table of
+:mod:`repro.core.cluster_stats`, sorted by subject, and takes the
+cumulative sum of ``size``. A PPS draw (probability proportional to
+cluster size, pi_i = M_i / M) is then a ``searchsorted`` of a uniform in
+[0, M) over that prefix: exactly "pick a uniform random triple, take its
+cluster". RCS slices one random permutation of the cluster indices.
 
-- ``clusters``: the cluster-stats DataFrame (subject, size, tau) from
-  :mod:`repro.core.cluster_stats`, and
-- ``kg``: the triple-level DataFrame (subject, predicate, object, label).
+The second stage fetches the triples of a batch's drawn subjects from
+``kg`` (subject, predicate, object, label) in one filtered Spark scan
+and samples within each cluster in numpy. Every random choice comes from
+the caller's ``np.random.Generator`` over driver arrays in a fixed order,
+so a seed picks the same sample whatever the partition layout.
 
-Samples come back with a ``draw_id`` column identifying the primary
-sampling unit (one Evaluation Task per draw), since WCS/TWCS draw
-clusters *with replacement* and a cluster may appear in several draws.
-
-PPS draws (probability proportional to cluster size, pi_i = M_i / M) are
-implemented distributively: a single-pass window cumulative sum over the
-cluster-stats table assigns each cluster the interval
-[cum_start, cum_start + M_i), and a small DataFrame of n uniform draws
-in [0, M) is range-joined against those intervals (the draws side is
-broadcast, so this is one scan of the cluster table). This is exactly
-"pick a uniform random triple, take its cluster".
+Samples carry a ``draw_id`` column identifying the primary sampling unit
+(one Evaluation Task per draw), since WCS/TWCS draw clusters *with
+replacement* and a cluster may appear in several draws.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.stats import Estimate, cluster_var_hat
 
-
-def _with_intervals(clusters: DataFrame) -> DataFrame:
-    """Attach [cum_start, cum_end) triple-count intervals per cluster."""
-    w = Window.orderBy("subject").rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    return clusters.withColumn("cum_end", F.sum("size").over(w)).withColumn(
-        "cum_start", F.col("cum_end") - F.col("size")
-    )
+_TRIPLE = ["subject", "predicate", "object", "label"]
 
 
 def weighted_cluster_draws(
-    clusters: DataFrame, n: int, *, seed: int, draw_id_offset: int = 0
-) -> DataFrame:
-    """n PPS-with-replacement cluster draws: (draw_id, subject, size, tau).
+    cum_sizes: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n PPS-with-replacement cluster indices into the arrays behind
+    ``cum_sizes`` (the cumulative sum of M_i).
 
     Hansen-Hurwitz design: each draw independently selects cluster i
     with probability M_i / M.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    spark = clusters.sparkSession
-    total = clusters.agg(F.sum("size")).collect()[0][0]
-    if total is None:
-        raise ValueError("empty cluster table")
-    draws = (
-        spark.range(n)
-        .select((F.col("id") + F.lit(draw_id_offset)).alias("draw_id"))
-        .withColumn("_u", F.rand(seed) * F.lit(float(total)))
-    )
-    iv = _with_intervals(clusters)
-    return (
-        iv.join(
-            F.broadcast(draws),
-            (draws["_u"] >= iv["cum_start"]) & (draws["_u"] < iv["cum_end"]),
-        )
-        .select("draw_id", "subject", "size", "tau")
-    )
+    u = rng.random(n) * cum_sizes[-1]
+    return np.searchsorted(cum_sizes, u, side="right")
 
 
-def random_cluster_draws(
-    clusters: DataFrame, n: int, *, seed: int, draw_id_offset: int = 0
-) -> DataFrame:
-    """n uniform without-replacement cluster draws (RCS first stage)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    w = Window.orderBy("_r")
-    return (
-        clusters.withColumn("_r", F.rand(seed))
-        .orderBy("_r")
-        .limit(n)
-        .withColumn("draw_id", F.row_number().over(w) - 1 + F.lit(draw_id_offset))
-        .drop("_r")
-        .select("draw_id", "subject", "size", "tau")
-    )
+def second_stage_sample(
+    kg: DataFrame,
+    subjects: np.ndarray,
+    m: int | None,
+    rng: np.random.Generator,
+    *,
+    draw_id_offset: int = 0,
+) -> pd.DataFrame:
+    """Per drawn subject, SRS without replacement of min(m, M_i) of its
+    triples; ``m=None`` takes the whole cluster (RCS/WCS).
 
-
-def draws_to_triples(kg: DataFrame, draws: DataFrame) -> DataFrame:
-    """All triples of the drawn clusters, tagged by draw_id (RCS/WCS)."""
-    d = F.broadcast(draws.select("draw_id", "subject"))
-    return kg.join(d, "subject").select("draw_id", "subject", "predicate", "object", "label")
-
-
-def second_stage_sample(kg: DataFrame, draws: DataFrame, m: int, *, seed: int) -> DataFrame:
-    """TWCS second stage: per draw, SRS without replacement of <= m triples.
-
-    Each draw gets an independent within-cluster sample: the rand key is
-    computed per (draw_id, triple) row *after* the join, and row_number
-    is partitioned by draw_id.
+    Draw k gets ``draw_id = draw_id_offset + k``, and each draw samples
+    independently, so a cluster drawn twice may yield different triples.
+    The drawn clusters' triples come back in one Spark job and are put
+    in (subject, predicate, object, label) order before sampling.
     """
-    if m < 1:
+    if m is not None and m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    joined = draws_to_triples(kg, draws).withColumn("_r", F.rand(seed))
-    w = Window.partitionBy("draw_id").orderBy("_r")
-    return (
-        joined.withColumn("_rn", F.row_number().over(w))
-        .filter(F.col("_rn") <= m)
-        .drop("_r", "_rn")
+    subjects = np.asarray(subjects, dtype=np.int64)
+    wanted = np.unique(subjects).tolist()
+    triples = (
+        kg.filter(F.col("subject").isin(wanted))
+        .select(*_TRIPLE)
+        .toPandas()
+        .sort_values(_TRIPLE, ignore_index=True)
     )
+    col = triples["subject"].to_numpy(np.int64)
+    starts = np.searchsorted(col, subjects, side="left")
+    sizes = np.searchsorted(col, subjects, side="right") - starts
+    rows = [
+        start + (np.arange(size) if m is None or size <= m
+                 else rng.choice(size, m, replace=False))
+        for start, size in zip(starts, sizes)
+    ]
+    out = triples.iloc[np.concatenate(rows)].reset_index(drop=True)
+    draw_ids = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    out.insert(0, "draw_id", draw_id_offset + draw_ids)
+    return out
 
 
 def estimate_rcs(

@@ -2,7 +2,8 @@
 
 Sample Collector -> Sample Pool -> Estimation -> Quality Control, looped
 until the margin of error drops to the user threshold. The collector is
-one of the Sec 5 sampling designs running as Spark DataFrame transforms;
+one of the Sec 5 sampling designs (see :mod:`repro.core.cluster_sampling`
+for how the cluster designs split between driver and Spark);
 annotation goes through the SimulatedAnnotator (which charges the Eq 4
 cost model); estimation and the stopping rule run in the driver on the
 (small) accumulated sample.
@@ -15,11 +16,13 @@ sizes; see EXPERIMENTS.md):
   pooled sample is a without-replacement SRS of its total size.
 - Cluster designs draw ``batch_clusters`` Evaluation Tasks per batch
   (default 20). WCS/TWCS draws are with replacement, so batches are
-  independent; RCS slices a shuffled cluster prefix (without
-  replacement).
+  independent; RCS slices one seeded permutation of the clusters
+  (without replacement). One ``np.random.default_rng(seed)`` drives
+  every draw of an evaluation.
 
 The stopping rule trusts the Normal-approximation MoE only after
-``min_units`` primary units, the paper's CLT rule-of-thumb guard.
+``min_units`` primary units, the paper's CLT rule-of-thumb guard. Every
+result records why its loop stopped: ``"moe"``, ``"cap"`` or ``"census"``.
 """
 from __future__ import annotations
 
@@ -58,11 +61,22 @@ class EvalResult:
     n_triples: int  # triples annotated
     n_batches: int
     design: str
+    stop_reason: str  # "moe" (MoE <= eps), "cap" (max_units) or "census"
     n_entities: int = 0  # entity identifications charged (Eq 4's |E'|)
 
     @property
     def converged(self) -> bool:
-        return self.estimate.moe <= float("inf")
+        """MoE reached, or every unit annotated (the estimate is exact)."""
+        return self.stop_reason != "cap"
+
+
+def _stop_reason(est: Estimate, n_min: int, config: EvalConfig) -> str | None:
+    """The stopping rule: MoE <= eps once ``n_min`` units are in, or the cap."""
+    if est.n_units >= n_min and est.moe <= config.eps:
+        return "moe"
+    if est.n_units >= config.max_units:
+        return "cap"
+    return None
 
 
 def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
@@ -88,7 +102,9 @@ def evaluate_static(
     """Run the Fig 2 loop with the given sampling design on a Spark KG.
 
     design in {"srs", "rcs", "wcs", "twcs"}; ``m`` is the TWCS
-    second-stage cap (required for "twcs").
+    second-stage cap (required for "twcs"). ``clusters`` is the KG's
+    cluster-stats table, if the caller already has one; only its
+    subject and size columns are read.
     """
     if design not in {"srs", "rcs", "wcs", "twcs"}:
         raise ValueError(f"unknown design {design!r}")
@@ -98,48 +114,47 @@ def evaluate_static(
 
     if design == "srs":
         return _run_srs(kg, config=config, seed=seed, ann=ann)
-    cl = clusters if clusters is not None else cluster_stats_df(kg).cache()
-    try:
-        return _run_cluster(kg, cl, design=design, m=m, config=config, seed=seed, ann=ann)
-    finally:
-        if clusters is None:
-            cl.unpersist()
+    cl = clusters if clusters is not None else cluster_stats_df(kg)
+    pdf = cl.select("subject", "size").toPandas().sort_values("subject")
+    return _run_cluster(
+        kg, pdf["subject"].to_numpy(np.int64), pdf["size"].to_numpy(np.int64),
+        design=design, m=m, config=config, seed=seed, ann=ann,
+    )
 
 
 def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnnotator) -> EvalResult:
     total = kg.count()
     labels: list[np.ndarray] = []
-    pool = pd.DataFrame()
     n_batches = 0
     fetched = 0
     prefix = _shuffled_prefix(kg, min(total, 16 * config.batch_triples), seed=seed)
     while True:
         lo, hi = fetched, min(fetched + config.batch_triples, total)
         if lo >= total:
-            break  # population exhausted: exact census
+            reason = "census"  # population exhausted
+            break
         while hi > len(prefix) and len(prefix) < total:
             prefix = _shuffled_prefix(kg, min(total, 2 * max(hi, len(prefix))), seed=seed)
         batch = prefix.iloc[lo:hi]
         fetched = hi
         annotated = ann.annotate_triples(batch)
         labels.append(annotated["label"].to_numpy(np.float64))
-        pool = pd.concat([pool, annotated], ignore_index=True)
         n_batches += 1
         est = estimate_srs(np.concatenate(labels), alpha=config.alpha)
-        if (est.n_units >= config.min_triples and est.moe <= config.eps) or (
-            est.n_units >= config.max_units
-        ):
+        reason = _stop_reason(est, config.min_triples, config)
+        if reason:
             break
     est = estimate_srs(np.concatenate(labels), alpha=config.alpha)
     return EvalResult(
-        est, ann.hours, est.n_units, est.n_units, n_batches, "srs",
+        est, ann.hours, est.n_units, est.n_units, n_batches, "srs", reason,
         n_entities=ann.ledger.n_identifications,
     )
 
 
 def _run_cluster(
     kg: DataFrame,
-    clusters: DataFrame,
+    subjects: np.ndarray,
+    sizes: np.ndarray,
     *,
     design: str,
     m: int | None,
@@ -147,51 +162,33 @@ def _run_cluster(
     seed: int,
     ann: SimulatedAnnotator,
 ) -> EvalResult:
-    # Population constants for the RCS estimator.
-    row = clusters.agg(
-        F.count(F.lit(1)).alias("N"), F.sum("size").alias("M")
-    ).collect()[0]
-    n_clusters_pop, n_triples_pop = int(row["N"]), int(row["M"])
+    cum_sizes = np.cumsum(sizes)
+    n_clusters_pop, n_triples_pop = len(sizes), int(cum_sizes[-1])
+    rng = np.random.default_rng(seed)
+    rcs_order = rng.permutation(n_clusters_pop) if design == "rcs" else None
 
     per_draw_values: list[float] = []
     n_triples_annotated = 0
     n_batches = 0
     draw_offset = 0
-    rcs_prefix: pd.DataFrame | None = None
 
     while True:
         b = config.batch_clusters
         if design == "rcs":
-            want = draw_offset + b
-            if rcs_prefix is None or len(rcs_prefix) < min(want, n_clusters_pop):
-                k = min(n_clusters_pop, max(4 * b, 2 * want))
-                rcs_prefix = (
-                    clusters.withColumn("_r", F.rand(seed))
-                    .orderBy("_r")
-                    .limit(k)
-                    .drop("_r")
-                    .toPandas()
-                )
             if draw_offset >= n_clusters_pop:
-                break  # exhausted: census of clusters
-            batch_clusters = rcs_prefix.iloc[draw_offset : min(want, n_clusters_pop)].copy()
-            batch_clusters["draw_id"] = np.arange(draw_offset, draw_offset + len(batch_clusters))
-            draws = kg.sparkSession.createDataFrame(
-                batch_clusters[["draw_id", "subject", "size", "tau"]]
-            )
+                reason = "census"
+                break
+            drawn = rcs_order[draw_offset : draw_offset + b]
         else:
-            draws = cs.weighted_cluster_draws(
-                clusters, b, seed=seed + 101 * n_batches, draw_id_offset=draw_offset
-            )
-
-        if design == "twcs":
-            sample = cs.second_stage_sample(kg, draws, m, seed=seed + 7 + 101 * n_batches)
-        else:
-            sample = cs.draws_to_triples(kg, draws)
+            drawn = cs.weighted_cluster_draws(cum_sizes, b, rng)
+        sample = cs.second_stage_sample(
+            kg, subjects[drawn], m if design == "twcs" else None, rng,
+            draw_id_offset=draw_offset,
+        )
         annotated = ann.annotate_tasks(sample)
         n_triples_annotated += len(annotated)
         n_batches += 1
-        draw_offset += b
+        draw_offset += len(drawn)
 
         if design == "rcs":
             taus = annotated.groupby("draw_id")["label"].sum().to_numpy(np.float64)
@@ -207,12 +204,11 @@ def _run_cluster(
             per_draw_values.extend(means.tolist())
             est = cs.estimate_cluster_means(np.asarray(per_draw_values), alpha=config.alpha)
 
-        if (est.n_units >= config.min_draws and est.moe <= config.eps) or (
-            est.n_units >= config.max_units
-        ):
+        reason = _stop_reason(est, config.min_draws, config)
+        if reason:
             break
 
     return EvalResult(
-        est, ann.hours, est.n_units, n_triples_annotated, n_batches, design,
+        est, ann.hours, est.n_units, n_triples_annotated, n_batches, design, reason,
         n_entities=ann.ledger.n_identifications,
     )

@@ -8,8 +8,9 @@ aggregated once by Spark — so the repetition layer runs in numpy:
 - an SRS draw of a triple is a uniform global index, mapped to its
   cluster by searchsorted over the size cumsum; its label follows the
   same first-tau_i-correct layout the Spark KG materialises;
-- a PPS cluster draw is searchsorted of u*M over the same cumsum
-  (identical to the range join in core.cluster_sampling);
+- a PPS cluster draw is searchsorted of u*M over the same cumsum, by
+  the Spark framework's own first stage,
+  ``core.cluster_sampling.weighted_cluster_draws``;
 - a TWCS second-stage sample of s=min(M_i, m) triples without
   replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples.
 
@@ -27,7 +28,7 @@ from repro.core.cluster_stats import Population
 from repro.core.framework import EvalConfig
 from repro.core.srs import estimate_srs
 from repro.core.stats import Estimate, combine_stratified, z_value
-from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs
+from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs, weighted_cluster_draws
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,7 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
 
 def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
     """k PPS-with-replacement cluster indices (prob M_i / M)."""
-    cum = np.cumsum(pop.sizes)
-    u = rng.random(k) * cum[-1]
-    return np.searchsorted(cum, u, side="right")
+    return weighted_cluster_draws(np.cumsum(pop.sizes), k, rng)
 
 
 def twcs_trial(

@@ -1,7 +1,9 @@
 """Integration tests for the iterative static framework (Sec 4, Fig 2)."""
+import pandas as pd
 import pytest
 
 from repro.annotate.annotator import SimulatedAnnotator
+from repro.core.cluster_stats import cluster_stats_df
 from repro.core.framework import EvalConfig, evaluate_static
 from repro.kg.generator import nell_like, yago_like
 
@@ -21,6 +23,7 @@ class TestStoppingRule:
     def test_stops_at_moe_threshold(self, nell_df, design, m):
         res = evaluate_static(nell_df, design=design, m=m, seed=11)
         assert res.estimate.moe <= 0.05
+        assert res.stop_reason == "moe" and res.converged
 
     def test_wider_eps_needs_fewer_samples(self, nell_df):
         tight = evaluate_static(nell_df, design="twcs", m=3, seed=12)
@@ -84,3 +87,42 @@ class TestCensusEdgeCase:
         res = evaluate_static(df, design="srs", seed=17)
         assert res.n_triples == 6
         assert res.estimate.mu_hat == pytest.approx(4 / 6)
+        assert res.stop_reason == "census" and res.converged
+
+
+class TestCap:
+    def test_cap_stop(self, nell_df):
+        res = evaluate_static(nell_df, design="twcs", m=3, seed=18, config=EvalConfig(max_units=1))
+        assert res.n_batches == 1 and res.n_draws == EvalConfig().batch_clusters
+        assert res.estimate.moe > EvalConfig().eps
+        assert res.stop_reason == "cap" and not res.converged
+
+
+class TaskRecorder(SimulatedAnnotator):
+    """Keeps every annotated sample."""
+
+    def __init__(self):
+        super().__init__()
+        self.samples = []
+
+    def annotate_tasks(self, sample):
+        out = super().annotate_tasks(sample)
+        self.samples.append(out)
+        return out
+
+
+class TestLayoutIndependence:
+    @pytest.mark.parametrize("design,m", [("twcs", 3), ("wcs", None), ("rcs", None)])
+    def test_same_sample_under_any_partitioning(self, nell_df, design, m):
+        """A seed picks the same cluster sample whatever the partitioning."""
+        samples = []
+        for kg_parts, cl_parts in [(1, 5), (7, 2)]:
+            kg = nell_df.repartition(kg_parts)
+            ann = TaskRecorder()
+            evaluate_static(
+                kg, design=design, m=m, seed=20, annotator=ann,
+                clusters=cluster_stats_df(kg).repartition(cl_parts),
+                config=EvalConfig(max_units=60),
+            )
+            samples.append(pd.concat(ann.samples, ignore_index=True))
+        pd.testing.assert_frame_equal(samples[0], samples[1])
