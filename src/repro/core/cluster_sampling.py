@@ -12,7 +12,9 @@ The second stage fetches the triples of a batch's drawn subjects from
 ``kg`` (subject, predicate, object, label) in one filtered Spark scan
 and samples within each cluster in numpy. Every random choice comes from
 the caller's ``np.random.Generator`` over driver arrays in a fixed order,
-so a seed picks the same sample whatever the partition layout.
+so a seed picks the same sample whatever the partition layout. The
+numpy layers (Monte-Carlo trials, RS, SS) draw the second stage from the
+cluster arrays alone with ``twcs_draw``.
 
 Samples carry a ``draw_id`` column identifying the primary sampling unit
 (one Evaluation Task per draw), since WCS/TWCS draw clusters *with
@@ -43,6 +45,26 @@ def weighted_cluster_draws(
         raise ValueError(f"n must be >= 1, got {n}")
     u = rng.random(n) * cum_sizes[-1]
     return np.searchsorted(cum_sizes, u, side="right")
+
+
+def twcs_draw(
+    sizes: np.ndarray,
+    taus: np.ndarray,
+    ci: np.ndarray,
+    m: int | None,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """TWCS second stage over driver arrays (M_i, tau_i) for the drawn
+    cluster indices ``ci``: per draw, s = min(M_i, m) triples without
+    replacement, of which Hypergeometric(tau_i, M_i - tau_i, s) are
+    correct. ``m=None`` annotates whole clusters (WCS).
+
+    Returns the per-draw mean labels and the triples annotated per draw.
+    """
+    sz, t = sizes[ci], taus[ci]
+    s = sz if m is None else np.minimum(sz, m)
+    good = rng.hypergeometric(t, sz - t, s)
+    return good / s, s
 
 
 def second_stage_sample(
@@ -90,19 +112,11 @@ def estimate_rcs(
 ) -> Estimate:
     """RCS estimator mu_hat_r (Eq 7): (N / M n) sum tau_{I_k}.
 
-    The per-draw value is v_k = (N/M) tau_{I_k}; variance from the
-    spread of v_k, per the CI below Eq 7.
+    The per-draw value is v_k = (N/M) tau_{I_k}; mean and variance are
+    those of the cluster-means estimator over v_k, per the CI below Eq 7.
     """
     v = (n_clusters / n_triples) * np.asarray(tau_per_draw, dtype=np.float64)
-    n = v.size
-    if n == 0:
-        return Estimate(0.0, float("inf"), 0, alpha)
-    return Estimate(
-        mu_hat=float(v.mean()),
-        var_hat=cluster_var_hat(v),
-        n_units=n,
-        alpha=alpha,
-    )
+    return estimate_cluster_means(v, alpha=alpha)
 
 
 def estimate_cluster_means(mu_per_draw: np.ndarray, *, alpha: float) -> Estimate:

@@ -12,7 +12,7 @@ Batching conventions (calibrated against the paper's reported sample
 sizes; see EXPERIMENTS.md):
 
 - SRS draws triples in batches of ``batch_triples`` (default 25). All
-  batches come from one rand-keyed shuffled prefix of the KG, so the
+  batches come from one growing ``srs_sample`` prefix of the KG, so the
   pooled sample is a without-replacement SRS of its total size.
 - Cluster designs draw ``batch_clusters`` Evaluation Tasks per batch
   (default 20). WCS/TWCS draws are with replacement, so batches are
@@ -20,24 +20,27 @@ sizes; see EXPERIMENTS.md):
   (without replacement). One ``np.random.default_rng(seed)`` drives
   every draw of an evaluation.
 
-The stopping rule trusts the Normal-approximation MoE only after
-``min_units`` primary units, the paper's CLT rule-of-thumb guard. Every
-result records why its loop stopped: ``"moe"``, ``"cap"`` or ``"census"``.
+The stopping rule (:func:`stop_reason`) trusts the Normal-approximation
+MoE only after ``min_units`` primary units, the paper's CLT rule-of-thumb
+guard. :func:`run_until_moe` is the one Fig 2 loop: the Spark designs
+here, the Monte-Carlo trials of :mod:`repro.sim.mc` and the RS top-up
+and SS loops of :mod:`repro.evolving` each supply a draw and an estimate
+step to it. Every result records why its loop stopped: ``"moe"``,
+``"cap"`` or ``"census"``.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.annotate.annotator import SimulatedAnnotator
 from repro.core import cluster_sampling as cs
 from repro.core.cluster_stats import cluster_stats_df
 from repro.core.cost import CostParams
-from repro.core.srs import estimate_srs
+from repro.core.srs import estimate_srs, srs_sample
 from repro.core.stats import Estimate
 
 
@@ -70,23 +73,35 @@ class EvalResult:
         return self.stop_reason != "cap"
 
 
-def _stop_reason(est: Estimate, n_min: int, config: EvalConfig) -> str | None:
+def stop_reason(est: Estimate, n_min: int, cfg: EvalConfig) -> str | None:
     """The stopping rule: MoE <= eps once ``n_min`` units are in, or the cap."""
-    if est.n_units >= n_min and est.moe <= config.eps:
+    if est.n_units >= n_min and est.moe <= cfg.eps:
         return "moe"
-    if est.n_units >= config.max_units:
+    if est.n_units >= cfg.max_units:
         return "cap"
     return None
 
 
-def _shuffled_prefix(df: DataFrame, n: int, *, seed: int) -> pd.DataFrame:
-    """First ``n`` rows of a deterministic rand(seed) ordering of ``df``.
+def run_until_moe(
+    draw_batch: Callable[[], bool],
+    estimate: Callable[[], Estimate],
+    n_min: int,
+    cfg: EvalConfig,
+) -> tuple[Estimate, str]:
+    """The Fig 2 loop: estimate, check :func:`stop_reason`, else draw.
 
-    Re-invoking with a larger ``n`` extends the same ordering (rand(seed)
-    is deterministic for a fixed plan), so iterative growth stays a
-    without-replacement sample.
+    ``draw_batch`` samples and annotates one more batch into the pool
+    that ``estimate`` reads; it returns False when the population is
+    exhausted, which stops the loop with ``"census"``. Returns the last
+    estimate and the stop reason.
     """
-    return df.withColumn("_r", F.rand(seed)).orderBy("_r").limit(n).drop("_r").toPandas()
+    while True:
+        est = estimate()
+        reason = stop_reason(est, n_min, cfg)
+        if reason is None and not draw_batch():
+            reason = "census"
+        if reason:
+            return est, reason
 
 
 def evaluate_static(
@@ -124,29 +139,32 @@ def evaluate_static(
 
 def _run_srs(kg: DataFrame, *, config: EvalConfig, seed: int, ann: SimulatedAnnotator) -> EvalResult:
     total = kg.count()
-    labels: list[np.ndarray] = []
-    n_batches = 0
+    # Re-sampling with a larger n extends the same rand(seed) ordering, so
+    # the growing prefix stays one without-replacement sample.
+    prefix = srs_sample(kg, min(total, 16 * config.batch_triples), seed=seed).toPandas()
+    labels: list[np.ndarray] = []  # one array per batch
     fetched = 0
-    prefix = _shuffled_prefix(kg, min(total, 16 * config.batch_triples), seed=seed)
-    while True:
-        lo, hi = fetched, min(fetched + config.batch_triples, total)
-        if lo >= total:
-            reason = "census"  # population exhausted
-            break
-        while hi > len(prefix) and len(prefix) < total:
-            prefix = _shuffled_prefix(kg, min(total, 2 * max(hi, len(prefix))), seed=seed)
-        batch = prefix.iloc[lo:hi]
-        fetched = hi
-        annotated = ann.annotate_triples(batch)
+
+    def draw_batch() -> bool:
+        nonlocal prefix, fetched
+        if fetched >= total:
+            return False
+        hi = min(fetched + config.batch_triples, total)
+        if hi > len(prefix):
+            prefix = srs_sample(kg, min(total, 2 * hi), seed=seed).toPandas()
+        annotated = ann.annotate_triples(prefix.iloc[fetched:hi])
         labels.append(annotated["label"].to_numpy(np.float64))
-        n_batches += 1
-        est = estimate_srs(np.concatenate(labels), alpha=config.alpha)
-        reason = _stop_reason(est, config.min_triples, config)
-        if reason:
-            break
-    est = estimate_srs(np.concatenate(labels), alpha=config.alpha)
+        fetched = hi
+        return True
+
+    est, reason = run_until_moe(
+        draw_batch,
+        lambda: estimate_srs(np.concatenate([np.empty(0), *labels]), alpha=config.alpha),
+        config.min_triples,
+        config,
+    )
     return EvalResult(
-        est, ann.hours, est.n_units, est.n_units, n_batches, "srs", reason,
+        est, ann.hours, est.n_units, est.n_units, len(labels), "srs", reason,
         n_entities=ann.ledger.n_identifications,
     )
 
@@ -166,49 +184,41 @@ def _run_cluster(
     n_clusters_pop, n_triples_pop = len(sizes), int(cum_sizes[-1])
     rng = np.random.default_rng(seed)
     rcs_order = rng.permutation(n_clusters_pop) if design == "rcs" else None
+    values: list[float] = []  # one per draw: tau_i for RCS, the draw's mean otherwise
+    n_triples = n_batches = 0
 
-    per_draw_values: list[float] = []
-    n_triples_annotated = 0
-    n_batches = 0
-    draw_offset = 0
-
-    while True:
-        b = config.batch_clusters
+    def draw_batch() -> bool:
+        nonlocal n_triples, n_batches
+        b, done = config.batch_clusters, len(values)
         if design == "rcs":
-            if draw_offset >= n_clusters_pop:
-                reason = "census"
-                break
-            drawn = rcs_order[draw_offset : draw_offset + b]
+            if done >= n_clusters_pop:
+                return False
+            drawn = rcs_order[done : done + b]
         else:
             drawn = cs.weighted_cluster_draws(cum_sizes, b, rng)
         sample = cs.second_stage_sample(
-            kg, subjects[drawn], m if design == "twcs" else None, rng,
-            draw_id_offset=draw_offset,
+            kg, subjects[drawn], m if design == "twcs" else None, rng, draw_id_offset=done,
         )
         annotated = ann.annotate_tasks(sample)
-        n_triples_annotated += len(annotated)
-        n_batches += 1
-        draw_offset += len(drawn)
-
         if design == "rcs":
-            taus = annotated.groupby("draw_id")["label"].sum().to_numpy(np.float64)
-            per_draw_values.extend(taus.tolist())
-            est = cs.estimate_rcs(
-                np.asarray(per_draw_values),
-                n_clusters=n_clusters_pop,
-                n_triples=n_triples_pop,
+            per_draw = annotated.groupby("draw_id")["label"].sum().to_numpy(np.float64)
+        else:
+            per_draw = cs.per_draw_means(annotated)
+        values.extend(per_draw.tolist())
+        n_triples += len(annotated)
+        n_batches += 1
+        return True
+
+    def estimate() -> Estimate:
+        if design == "rcs":
+            return cs.estimate_rcs(
+                np.asarray(values), n_clusters=n_clusters_pop, n_triples=n_triples_pop,
                 alpha=config.alpha,
             )
-        else:
-            means = cs.per_draw_means(annotated)
-            per_draw_values.extend(means.tolist())
-            est = cs.estimate_cluster_means(np.asarray(per_draw_values), alpha=config.alpha)
+        return cs.estimate_cluster_means(np.asarray(values), alpha=config.alpha)
 
-        reason = _stop_reason(est, config.min_draws, config)
-        if reason:
-            break
-
+    est, reason = run_until_moe(draw_batch, estimate, config.min_draws, config)
     return EvalResult(
-        est, ann.hours, est.n_units, n_triples_annotated, n_batches, design, reason,
+        est, ann.hours, est.n_units, n_triples, n_batches, design, reason,
         n_entities=ann.ledger.n_identifications,
     )

@@ -9,6 +9,7 @@ container) and the small-n conventions used throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -23,33 +24,6 @@ def z_value(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
-
-
-def srs_moe(mu_hat: float, n: int, alpha: float) -> float:
-    """MoE of the SRS estimator (Sec 5.1): z * sqrt(mu(1-mu)/n).
-
-    Follows the paper's Normal approximation exactly: a sample with
-    ``mu_hat`` of 0 or 1 reports MoE 0 (the framework's minimum batch
-    size keeps n above the CLT rule of thumb before this is trusted).
-    """
-    if n <= 0:
-        return float("inf")
-    return z_value(alpha) * math.sqrt(max(mu_hat * (1.0 - mu_hat), 0.0) / n)
-
-
-def cluster_moe(cluster_means: np.ndarray, alpha: float) -> float:
-    """MoE of a cluster-sampling estimator from per-draw values.
-
-    For WCS/TWCS (Eqs 8-9) the per-draw value is the (estimated) cluster
-    accuracy mu_{I_k}; for RCS (Eq 7) it is (N/M) * tau_{I_k}. The CI
-    half-width is ``z * sqrt( sum (v_k - v_bar)^2 / (n (n-1)) )``.
-    """
-    v = np.asarray(cluster_means, dtype=np.float64)
-    n = v.size
-    if n < 2:
-        return float("inf")
-    s2 = float(np.sum((v - v.mean()) ** 2)) / (n * (n - 1))
-    return z_value(alpha) * math.sqrt(max(s2, 0.0))
 
 
 def cluster_var_hat(cluster_means: np.ndarray) -> float:
@@ -93,19 +67,20 @@ class Estimate:
 
 
 def combine_stratified(
-    weights: np.ndarray, mu_hats: np.ndarray, var_hats: np.ndarray, alpha: float
+    weights: np.ndarray, strata: Sequence[Estimate], alpha: float
 ) -> Estimate:
-    """Stratified combination (Eq 13): mu = sum W_h mu_h, var = sum W_h^2 var_h."""
+    """Stratified combination (Eq 13) of per-stratum estimates:
+    mu = sum W_h mu_h, var = sum W_h^2 var_h, over all strata's units."""
     w = np.asarray(weights, dtype=np.float64)
-    mu = np.asarray(mu_hats, dtype=np.float64)
-    v = np.asarray(var_hats, dtype=np.float64)
-    if not (w.shape == mu.shape == v.shape):
-        raise ValueError("weights, mu_hats, var_hats must align")
+    if w.shape != (len(strata),):
+        raise ValueError("weights and strata must align")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"strata weights must sum to 1, got {w.sum()}")
+    mu = np.array([e.mu_hat for e in strata], dtype=np.float64)
+    v = np.array([e.var_hat for e in strata], dtype=np.float64)
     return Estimate(
         mu_hat=float(np.dot(w, mu)),
         var_hat=float(np.dot(w**2, v)),
-        n_units=0,
+        n_units=sum(e.n_units for e in strata),
         alpha=alpha,
     )

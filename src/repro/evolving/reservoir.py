@@ -4,15 +4,15 @@ Weighted reservoir sampling in the Efraimidis-Spirakis A-Res scheme:
 cluster i receives key k_i = u_i^(1/M_i) with u_i ~ U(0,1); the
 reservoir holds the |R| clusters with the largest keys. Maintaining the
 top-|R| under a batch of insertions Delta is exactly Algorithm 1's
-smallest-key replacement loop, and — because top-n is associative —
-``top-n(G + Delta) = top-n(top-n(G) ∪ keys(Delta))``, which is how the
-Spark transform merges updates.
+smallest-key replacement loop, run here in the driver over the numpy
+cluster arrays (no experiment runs RS on Spark).
 
 The evaluator follows the paper: the reservoir is *used as* the TWCS
-first-stage sample (per-cluster second-stage SRS of <= m triples), the
-estimate is the Eq 9 mean-of-cluster-means, and when an update pushes
-the MoE above eps the static loop tops the reservoir up with further
-clusters (Sec 6.1's "run Static Evaluation on G + Delta"). A-Res draws
+first-stage sample (per-cluster second-stage SRS of <= m triples, drawn
+by ``core.cluster_sampling.twcs_draw``), the estimate is the Eq 9
+mean-of-cluster-means, and when an update pushes the MoE above eps the
+static loop (``core.framework.run_until_moe``) tops the reservoir up
+with further clusters (Sec 6.1's "run Static Evaluation on G + Delta"). A-Res draws
 clusters PPS *without* replacement while Hansen-Hurwitz assumes
 with-replacement draws; with |R| << N the distinction is negligible and
 the paper adopts the same approximation.
@@ -27,50 +27,12 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
+from repro.core.cluster_sampling import estimate_cluster_means, twcs_draw
 from repro.core.cluster_stats import Population
 from repro.core.cost import CostLedger
-from repro.core.framework import EvalConfig
-from repro.core.cluster_sampling import estimate_cluster_means
+from repro.core.framework import EvalConfig, run_until_moe
 from repro.core.stats import Estimate
-
-
-# ---------------------------------------------------------------------------
-# Spark transforms (distributed key generation + top-n reservoir)
-# ---------------------------------------------------------------------------
-
-
-def with_reservoir_keys(clusters: DataFrame, *, seed: int) -> DataFrame:
-    """Attach A-Res keys u^(1/M_i) to a cluster-stats DataFrame."""
-    return clusters.withColumn("res_key", F.pow(F.rand(seed), 1.0 / F.col("size")))
-
-
-def top_reservoir(clusters_with_keys: DataFrame, n: int) -> DataFrame:
-    """The |R|=n largest-key clusters (TakeOrdered under the hood)."""
-    if n < 1:
-        raise ValueError("reservoir size must be >= 1")
-    return clusters_with_keys.orderBy(F.desc("res_key")).limit(n)
-
-
-def merge_reservoir(
-    reservoir: DataFrame, delta_clusters: DataFrame, n: int, *, seed: int
-) -> DataFrame:
-    """Algorithm 1 as a batch transform: new reservoir of G + Delta.
-
-    ``reservoir`` must already carry ``res_key``; Delta gets fresh keys.
-    Equivalent to rebuilding the reservoir from scratch over G + Delta
-    because top-n is associative over the union.
-    """
-    return top_reservoir(
-        reservoir.unionByName(with_reservoir_keys(delta_clusters, seed=seed)), n
-    )
-
-
-# ---------------------------------------------------------------------------
-# Incremental evaluator (numpy/driver mirror used by the experiments)
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -103,34 +65,38 @@ class ReservoirEvaluator:
     n_insertions: int = 0  # reservoir entries after the initial fill (Prop 3)
     _counter: int = 0
 
-    def _annotate(self, key: float, subject: int, size: int, tau: int, rng) -> _Member:
-        s = min(size, self.m)
-        good = int(rng.hypergeometric(tau, size - tau, s))
-        self.ledger.charge_task(s)
-        return _Member(key, subject, size, tau, good / s, s)
-
-    def _push(self, mb: _Member) -> None:
+    def _enter(self, key: float, subject: int, size: int, tau: int) -> _Member:
+        """Push a cluster into the reservoir; :meth:`_annotate` fills its mean."""
+        mb = _Member(key, subject, size, tau, float("nan"), 0)
         self._counter += 1
-        heapq.heappush(self.members, (mb.key, self._counter, mb))
+        heapq.heappush(self.members, (key, self._counter, mb))
+        return mb
+
+    def _annotate(self, entered: list[_Member], rng: np.random.Generator) -> None:
+        """TWCS second stage of the clusters that entered, in entry order."""
+        sizes = np.array([mb.size for mb in entered], dtype=np.int64)
+        taus = np.array([mb.tau for mb in entered], dtype=np.int64)
+        means, s = twcs_draw(sizes, taus, np.arange(len(entered)), self.m, rng)
+        for mb, mean, si in zip(entered, means.tolist(), s.tolist()):
+            mb.mean, mb.s = mean, si
+            self.ledger.charge_task(si)
 
     def estimate(self) -> Estimate:
         means = np.array([mb.mean for _, _, mb in self.members])
         return estimate_cluster_means(means, alpha=self.cfg.alpha)
 
-    def _converged(self, est: Estimate) -> bool:
-        return (
-            est.n_units >= self.cfg.min_draws and est.moe <= self.cfg.eps
-        ) or est.n_units >= self.cfg.max_units
+    def _top_up(self, rng: np.random.Generator) -> Estimate:
+        """The static loop over the spare clusters, in descending key order."""
 
-    def _top_up_until_converged(self, rng: np.random.Generator) -> None:
-        while True:
-            est = self.estimate()
-            if self._converged(est) or not self.spare:
-                return
-            take = min(self.cfg.batch_clusters, len(self.spare))
-            for key, subj, size, tau in self.spare[:take]:
-                self._push(self._annotate(key, subj, size, tau, rng))
-            del self.spare[:take]
+        def draw_batch() -> bool:
+            if not self.spare:
+                return False
+            take = self.spare[: self.cfg.batch_clusters]
+            del self.spare[: len(take)]
+            self._annotate([self._enter(*entry) for entry in take], rng)
+            return True
+
+        return run_until_moe(draw_batch, self.estimate, self.cfg.min_draws, self.cfg)[0]
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static phase on the base KG: grow the reservoir until MoE <= eps."""
@@ -140,8 +106,7 @@ class ReservoirEvaluator:
             (float(keys[i]), int(pop.subjects[i]), int(pop.sizes[i]), int(pop.taus[i]))
             for i in order
         ]
-        self._top_up_until_converged(rng)
-        return self.estimate()
+        return self._top_up(rng)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
         """Algorithm 1 over Delta's clusters, then top-up if MoE > eps."""
@@ -150,21 +115,23 @@ class ReservoirEvaluator:
         keys = rng.random(delta.n_clusters) ** (1.0 / delta.sizes)
         size_before = len(self.members)
         new_spare: list[tuple[float, int, int, int]] = []
+        entered: list[_Member] = []
         for i in range(delta.n_clusters):
             k_e = float(keys[i])
             subj, size, tau = int(delta.subjects[i]), int(delta.sizes[i]), int(delta.taus[i])
             if k_e > self.members[0][0]:  # beats the smallest reservoir key
                 _, _, evicted = heapq.heappop(self.members)
                 new_spare.append((evicted.key, evicted.subject, evicted.size, evicted.tau))
-                self._push(self._annotate(k_e, subj, size, tau, rng))
-                self.n_insertions += 1
+                entered.append(self._enter(k_e, subj, size, tau))
             else:
                 new_spare.append((k_e, subj, size, tau))
+        # Every entrant is annotated, even one a later key evicts again.
+        self._annotate(entered, rng)
+        self.n_insertions += len(entered)
         self.spare.extend(new_spare)
         self.spare.sort(key=lambda t: -t[0])
         assert len(self.members) == size_before, "reservoir size is invariant"
-        self._top_up_until_converged(rng)
-        return self.estimate()
+        return self._top_up(rng)
 
     @property
     def hours(self) -> float:

@@ -16,30 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cluster_sampling import estimate_cluster_means, twcs_draw, weighted_cluster_draws
 from repro.core.cluster_stats import Population
 from repro.core.cost import CostLedger
-from repro.core.framework import EvalConfig
-from repro.core.cluster_sampling import estimate_cluster_means
+from repro.core.framework import EvalConfig, run_until_moe
 from repro.core.stats import Estimate, combine_stratified
-from repro.sim.mc import _pps_draws
 
 
 @dataclass
 class _Stratum:
     pop: Population
     means: list[float] = field(default_factory=list)  # per-draw TWCS means
-
-    @property
-    def n_triples(self) -> int:
-        return self.pop.n_triples
-
-    @property
-    def mu_hat(self) -> float:
-        return float(np.mean(self.means)) if self.means else 0.0
-
-    @property
-    def var_hat(self) -> float:
-        return estimate_cluster_means(np.asarray(self.means), alpha=0.05).var_hat
 
 
 @dataclass
@@ -56,55 +43,42 @@ class StratifiedIncrementalEvaluator:
     strata: list[_Stratum] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
 
-    def _draw_batch(self, st: _Stratum, k: int, rng: np.random.Generator) -> None:
-        ci = _pps_draws(st.pop, k, rng)
-        sizes, taus = st.pop.sizes[ci], st.pop.taus[ci]
-        s = np.minimum(sizes, self.m)
-        good = rng.hypergeometric(taus, sizes - taus, s)
-        st.means.extend((good / s).tolist())
-        for si in s:
-            self.ledger.charge_task(int(si))
-
     def estimate(self) -> Estimate:
-        w = np.array([st.n_triples for st in self.strata], dtype=np.float64)
+        """Eq 13 over the strata's per-draw means, W_h = |stratum_h| / |G|."""
+        w = np.array([st.pop.n_triples for st in self.strata], dtype=np.float64)
         w /= w.sum()
-        mu = np.array([st.mu_hat for st in self.strata])
-        var = np.array([st.var_hat for st in self.strata])
-        return combine_stratified(w, mu, var, self.cfg.alpha)
+        per_stratum = [
+            estimate_cluster_means(np.asarray(st.means), alpha=self.cfg.alpha)
+            for st in self.strata
+        ]
+        return combine_stratified(w, per_stratum, self.cfg.alpha)
 
-    def _total_draws(self) -> int:
-        return sum(len(st.means) for st in self.strata)
+    def _add_stratum(self, pop: Population, rng: np.random.Generator, batch: int) -> Estimate:
+        """Algorithm 2's while-loop: TWCS batches on the new stratum only."""
+        st = _Stratum(pop)
+        self.strata.append(st)
+        cum = np.cumsum(pop.sizes)
 
-    def _sample_until_converged(
-        self, st: _Stratum, rng: np.random.Generator, batch: int
-    ) -> None:
-        """Algorithm 2's while-loop: batches on the given stratum only."""
-        min_stratum_draws = 2  # variance of a stratum needs >= 2 draws
-        while True:
-            if len(st.means) < min_stratum_draws:
-                self._draw_batch(st, min_stratum_draws - len(st.means), rng)
-            est = self.estimate()
-            if (
-                self._total_draws() >= self.cfg.min_draws and est.moe <= self.cfg.eps
-            ) or self._total_draws() >= self.cfg.max_units:
-                return
-            self._draw_batch(st, batch, rng)
+        def draw(k: int) -> bool:
+            ci = weighted_cluster_draws(cum, k, rng)
+            means, s = twcs_draw(pop.sizes, pop.taus, ci, self.m, rng)
+            st.means.extend(means.tolist())
+            for si in s.tolist():
+                self.ledger.charge_task(si)
+            return True
+
+        draw(2)  # a stratum's variance needs >= 2 draws
+        return run_until_moe(lambda: draw(batch), self.estimate, self.cfg.min_draws, self.cfg)[0]
 
     def initialise(self, pop: Population, rng: np.random.Generator) -> Estimate:
         """Static TWCS evaluation of the base KG G (stratum 0)."""
-        st = _Stratum(pop)
-        self.strata.append(st)
-        self._sample_until_converged(st, rng, self.cfg.batch_clusters)
-        return self.estimate()
+        return self._add_stratum(pop, rng, self.cfg.batch_clusters)
 
     def apply_update(self, delta: Population, rng: np.random.Generator) -> Estimate:
         """Algorithm 2: Delta is a fresh stratum; only it gets sampled."""
         if not self.strata:
             raise RuntimeError("initialise() must run before apply_update()")
-        st = _Stratum(delta)
-        self.strata.append(st)
-        self._sample_until_converged(st, rng, self.update_batch_clusters)
-        return self.estimate()
+        return self._add_stratum(delta, rng, self.update_batch_clusters)
 
     @property
     def hours(self) -> float:

@@ -12,11 +12,14 @@ aggregated once by Spark — so the repetition layer runs in numpy:
   the Spark framework's own first stage,
   ``core.cluster_sampling.weighted_cluster_draws``;
 - a TWCS second-stage sample of s=min(M_i, m) triples without
-  replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples.
+  replacement has Hypergeometric(tau_i, M_i - tau_i, s) correct triples
+  (``core.cluster_sampling.twcs_draw``).
 
-Stopping rules, batch sizes, and cost accounting replicate
-``core.framework.EvalConfig`` exactly; equivalence with the Spark layer
-is asserted in tests/test_mc_vs_spark.py.
+Each trial supplies a draw and an estimate step to the Spark framework's
+own loop, ``core.framework.run_until_moe``, so trials share its stopping
+rule, ``EvalConfig`` batch sizes and stop reasons; cost accounting is
+Eq 4's. Equivalence with the Spark layer is asserted in
+tests/test_mc_vs_spark.py.
 """
 from __future__ import annotations
 
@@ -24,11 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cluster_sampling import (
+    estimate_cluster_means,
+    estimate_rcs,
+    twcs_draw,
+    weighted_cluster_draws,
+)
 from repro.core.cluster_stats import Population
-from repro.core.framework import EvalConfig
+from repro.core.framework import EvalConfig, run_until_moe
 from repro.core.srs import estimate_srs
-from repro.core.stats import Estimate, combine_stratified, z_value
-from repro.core.cluster_sampling import estimate_cluster_means, estimate_rcs, weighted_cluster_draws
+from repro.core.stats import combine_stratified
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,7 @@ class TrialResult:
     n_draws: int  # primary units (triples for SRS)
     n_triples: int  # triples annotated
     n_entities: int  # entity identifications charged
+    stop_reason: str  # "moe", "cap" or "census", as in framework.EvalResult
 
 
 @dataclass(frozen=True)
@@ -55,17 +64,22 @@ class TrialsSummary:
     n_trials: int
     mu_p025: float  # empirical 95% interval of the estimates — reported
     mu_p975: float  # for highly-accurate KGs (YAGO) as in Table 5's note
+    coverage: float  # share of trials with |mu_hat - mu| <= MoE
+    moe0_share: float  # share of trials that ended with MoE 0
+    cap_share: float  # share of trials stopped by max_units
 
     @classmethod
-    def from_trials(cls, design: str, trials: list[TrialResult]) -> "TrialsSummary":
-        mu = np.array([t.mu_hat for t in trials])
+    def from_trials(cls, design: str, trials: list[TrialResult], mu: float) -> "TrialsSummary":
+        """Summarise trials of a design on a population of accuracy ``mu``."""
+        est = np.array([t.mu_hat for t in trials])
+        moe = np.array([t.moe for t in trials])
         hrs = np.array([t.hours for t in trials])
         dr = np.array([t.n_draws for t in trials])
         tr = np.array([t.n_triples for t in trials])
         return cls(
             design,
-            float(mu.mean()),
-            float(mu.std(ddof=1)) if len(trials) > 1 else 0.0,
+            float(est.mean()),
+            float(est.std(ddof=1)) if len(trials) > 1 else 0.0,
             float(hrs.mean()),
             float(hrs.std(ddof=1)) if len(trials) > 1 else 0.0,
             float(dr.mean()),
@@ -73,13 +87,12 @@ class TrialsSummary:
             float(tr.mean()),
             float(tr.std(ddof=1)) if len(trials) > 1 else 0.0,
             len(trials),
-            float(np.percentile(mu, 2.5)),
-            float(np.percentile(mu, 97.5)),
+            float(np.percentile(est, 2.5)),
+            float(np.percentile(est, 97.5)),
+            float(np.mean(np.abs(est - mu) <= moe)),
+            float(np.mean(moe == 0.0)),
+            float(np.mean([t.stop_reason == "cap" for t in trials])),
         )
-
-
-def _stopped(est: Estimate, n_min: int, cfg: EvalConfig) -> bool:
-    return (est.n_units >= n_min and est.moe <= cfg.eps) or est.n_units >= cfg.max_units
 
 
 def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
@@ -90,10 +103,11 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
     drawn: set[int] = set()
     labels: list[int] = []
     clusters_seen: set[int] = set()
-    while True:
+
+    def draw_batch() -> bool:
         want = min(cfg.batch_triples, M - len(drawn))
         if want <= 0:
-            break
+            return False
         batch: list[int] = []
         while len(batch) < want:
             for g in rng.integers(0, M, size=2 * (want - len(batch))):
@@ -107,49 +121,48 @@ def srs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
         ci = np.searchsorted(cum, idx, side="right")
         labels.extend((idx - starts[ci] < pop.taus[ci]).astype(int).tolist())
         clusters_seen.update(ci.tolist())
-        est = estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha)
-        if _stopped(est, cfg.min_triples, cfg):
-            break
-    est = estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha)
+        return True
+
+    est, reason = run_until_moe(
+        draw_batch,
+        lambda: estimate_srs(np.asarray(labels, dtype=np.float64), alpha=cfg.alpha),
+        cfg.min_triples,
+        cfg,
+    )
     n = len(labels)
     hours = cfg.cost.cost_hours(len(clusters_seen), n)
-    return TrialResult(est.mu_hat, est.moe, hours, n, n, len(clusters_seen))
-
-
-def _pps_draws(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k PPS-with-replacement cluster indices (prob M_i / M)."""
-    return weighted_cluster_draws(np.cumsum(pop.sizes), k, rng)
+    return TrialResult(est.mu_hat, est.moe, hours, n, n, len(clusters_seen), reason)
 
 
 def twcs_trial(
-    pop: Population,
-    m: int,
-    rng: np.random.Generator,
-    cfg: EvalConfig,
-    *,
-    wcs: bool = False,
+    pop: Population, m: int | None, rng: np.random.Generator, cfg: EvalConfig
 ) -> TrialResult:
-    """Iterative TWCS (or WCS when ``wcs=True``: full-cluster annotation)."""
+    """Iterative TWCS (WCS when ``m`` is None: full-cluster annotation)."""
+    cum = np.cumsum(pop.sizes)
     means: list[float] = []
     n_triples = 0
-    n_tasks = 0
-    while True:
-        ci = _pps_draws(pop, cfg.batch_clusters, rng)
-        sizes, taus = pop.sizes[ci], pop.taus[ci]
-        s = sizes if wcs else np.minimum(sizes, m)
-        good = rng.hypergeometric(taus, sizes - taus, s)
-        means.extend((good / s).tolist())
+
+    def draw_batch() -> bool:
+        nonlocal n_triples
+        ci = weighted_cluster_draws(cum, cfg.batch_clusters, rng)
+        mu, s = twcs_draw(pop.sizes, pop.taus, ci, m, rng)
+        means.extend(mu.tolist())
         n_triples += int(s.sum())
-        n_tasks += len(ci)
-        est = estimate_cluster_means(np.asarray(means), alpha=cfg.alpha)
-        if _stopped(est, cfg.min_draws, cfg):
-            break
+        return True
+
+    est, reason = run_until_moe(
+        draw_batch,
+        lambda: estimate_cluster_means(np.asarray(means), alpha=cfg.alpha),
+        cfg.min_draws,
+        cfg,
+    )
+    n_tasks = est.n_units
     hours = cfg.cost.cost_hours(n_tasks, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks)
+    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
 
 
 def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
-    return twcs_trial(pop, 1, rng, cfg, wcs=True)
+    return twcs_trial(pop, None, rng, cfg)
 
 
 def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
@@ -164,25 +177,30 @@ def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
     order = rng.permutation(pop.n_clusters)
     taus: list[float] = []
     n_triples = 0
-    pos = 0
-    while True:
+
+    def draw_batch() -> bool:
+        nonlocal n_triples
+        pos = len(taus)
         take = min(max(cfg.batch_clusters, pos // 4), pop.n_clusters - pos)
         if take <= 0:
-            break
+            return False
         ci = order[pos : pos + take]
-        pos += take
         taus.extend(pop.taus[ci].astype(float).tolist())
         n_triples += int(pop.sizes[ci].sum())
-        est = estimate_rcs(
-            np.asarray(taus),
-            n_clusters=pop.n_clusters,
-            n_triples=pop.n_triples,
+        return True
+
+    est, reason = run_until_moe(
+        draw_batch,
+        lambda: estimate_rcs(
+            np.asarray(taus), n_clusters=pop.n_clusters, n_triples=pop.n_triples,
             alpha=cfg.alpha,
-        )
-        if _stopped(est, cfg.min_draws, cfg):
-            break
+        ),
+        cfg.min_draws,
+        cfg,
+    )
+    pos = est.n_units
     hours = cfg.cost.cost_hours(pos, n_triples)
-    return TrialResult(est.mu_hat, est.moe, hours, pos, n_triples, pos)
+    return TrialResult(est.mu_hat, est.moe, hours, pos, n_triples, pos, reason)
 
 
 def stratified_twcs_trial(
@@ -196,44 +214,34 @@ def stratified_twcs_trial(
     strata proportionally to the triple weights W_h (>= 1 each), Eq 13
     combination for the estimate and MoE."""
     strata = np.asarray(strata)
-    hs = np.unique(strata)
-    subpops = []
-    weights = []
-    for h in hs:
-        mask = strata == h
-        sub = Population(pop.subjects[mask], pop.sizes[mask], pop.taus[mask])
-        subpops.append(sub)
-        weights.append(sub.n_triples)
-    w = np.asarray(weights, dtype=np.float64)
+    masks = [strata == h for h in np.unique(strata)]
+    sizes = [pop.sizes[k] for k in masks]
+    taus = [pop.taus[k] for k in masks]
+    cums = [np.cumsum(sz) for sz in sizes]
+    w = np.array([c[-1] for c in cums], dtype=np.float64)
     w /= w.sum()
-
-    means: list[list[float]] = [[] for _ in hs]
+    alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
+    means: list[list[float]] = [[] for _ in masks]
     n_triples = 0
-    n_tasks = 0
-    z = z_value(cfg.alpha)
-    while True:
-        alloc = np.maximum(1, np.rint(cfg.batch_clusters * w).astype(int))
-        for j, sub in enumerate(subpops):
-            ci = _pps_draws(sub, int(alloc[j]), rng)
-            sizes, taus = sub.sizes[ci], sub.taus[ci]
-            s = np.minimum(sizes, m)
-            good = rng.hypergeometric(taus, sizes - taus, s)
-            means[j].extend((good / s).tolist())
+
+    def draw_batch() -> bool:
+        nonlocal n_triples
+        for j in range(len(masks)):
+            ci = weighted_cluster_draws(cums[j], int(alloc[j]), rng)
+            mu, s = twcs_draw(sizes[j], taus[j], ci, m, rng)
+            means[j].extend(mu.tolist())
             n_triples += int(s.sum())
-            n_tasks += len(ci)
-        mu_h = np.array([np.mean(v) for v in means])
-        var_h = np.array(
-            [
-                estimate_cluster_means(np.asarray(v), alpha=cfg.alpha).var_hat
-                for v in means
-            ]
+        return True
+
+    def estimate():
+        return combine_stratified(
+            w, [estimate_cluster_means(np.asarray(v), alpha=cfg.alpha) for v in means], cfg.alpha
         )
-        est = combine_stratified(w, mu_h, var_h, cfg.alpha)
-        moe = est.moe
-        if (n_tasks >= cfg.min_draws and moe <= cfg.eps) or n_tasks >= cfg.max_units:
-            break
+
+    est, reason = run_until_moe(draw_batch, estimate, cfg.min_draws, cfg)
+    n_tasks = est.n_units
     hours = cfg.cost.cost_hours(n_tasks, n_triples)
-    return TrialResult(est.mu_hat, moe, hours, n_tasks, n_triples, n_tasks)
+    return TrialResult(est.mu_hat, est.moe, hours, n_tasks, n_triples, n_tasks, reason)
 
 
 _DESIGNS = {
@@ -270,4 +278,4 @@ def run_trials(
         else:
             raise ValueError(f"unknown design {design!r}")
         trials.append(tr)
-    return TrialsSummary.from_trials(design, trials)
+    return TrialsSummary.from_trials(design, trials, pop.mu)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.cluster_sampling import weighted_cluster_draws
 from repro.core.cluster_stats import Population
 from repro.core.framework import EvalConfig
 from repro.core.stratification import (
@@ -60,7 +61,7 @@ class TestSrsTrial:
 class TestPpsDraws:
     def test_frequencies_proportional_to_size(self, rng):
         pop = Population(np.arange(3), np.array([1, 3, 6]), np.array([1, 3, 6]))
-        draws = mc._pps_draws(pop, 30000, rng)
+        draws = weighted_cluster_draws(np.cumsum(pop.sizes), 30000, rng)
         freq = np.bincount(draws, minlength=3) / 30000
         assert np.allclose(freq, [0.1, 0.3, 0.6], atol=0.01)
 
@@ -152,11 +153,49 @@ class TestDesignOrdering:
 class TestSummary:
     def test_from_trials_statistics(self):
         trials = [
-            mc.TrialResult(0.8, 0.05, 1.0, 10, 20, 10),
-            mc.TrialResult(0.9, 0.05, 2.0, 20, 40, 20),
+            mc.TrialResult(0.8, 0.05, 1.0, 10, 20, 10, "moe"),
+            mc.TrialResult(0.9, 0.0, 2.0, 20, 40, 20, "moe"),
+            mc.TrialResult(0.7, 0.2, 3.0, 30, 60, 30, "cap"),
         ]
-        s = mc.TrialsSummary.from_trials("x", trials)
-        assert s.mu_mean == pytest.approx(0.85)
-        assert s.hours_mean == pytest.approx(1.5)
-        assert s.triples_mean == pytest.approx(30)
-        assert s.n_trials == 2
+        s = mc.TrialsSummary.from_trials("x", trials, mu=0.84)
+        assert s.mu_mean == pytest.approx(0.8)
+        assert s.hours_mean == pytest.approx(2.0)
+        assert s.triples_mean == pytest.approx(40)
+        assert s.n_trials == 3
+        # |0.8 - 0.84| <= 0.05 and |0.7 - 0.84| <= 0.2; 0.9 misses with MoE 0.
+        assert s.coverage == pytest.approx(2 / 3)
+        assert s.moe0_share == pytest.approx(1 / 3)
+        assert s.cap_share == pytest.approx(1 / 3)
+
+
+# 400 clusters of sizes 2 and 3, each all-correct or all-wrong: every
+# design's per-unit values vary, so no first batch can reach MoE 0.
+MIXED = Population(np.arange(400), np.tile([2, 2, 3, 3], 100), np.tile([2, 0, 3, 0], 100))
+TINY = Population(np.arange(3), np.array([2, 2, 2]), np.array([2, 1, 0]))
+DESIGN_KW = {
+    "srs": {},
+    "wcs": {},
+    "rcs": {},
+    "twcs": {"m": 2},
+    "twcs_stratified": {"m": 2, "strata": MIXED.sizes},
+}
+
+
+@pytest.mark.parametrize("case", ["cap", "census", "yago_moe0"])
+def test_stop_reasons_and_coverage(case, yago_pop):
+    """Each trial's stop reason comes from the shared Fig 2 loop, and the
+    summary reports coverage and the MoE-0 and cap stop shares."""
+    if case == "cap":
+        for design, kw in DESIGN_KW.items():
+            s = mc.run_trials(MIXED, design, n_trials=5, seed=1, cfg=EvalConfig(max_units=1), **kw)
+            assert s.cap_share == 1.0, design
+    elif case == "census":
+        for design in ("srs", "rcs"):
+            t = getattr(mc, f"{design}_trial")(TINY, np.random.default_rng(2), CFG)
+            assert t.stop_reason == "census" and t.mu_hat == pytest.approx(0.5), design
+            s = mc.run_trials(TINY, design, n_trials=20, seed=2)
+            assert s.coverage == 1.0 and s.cap_share == 0.0, design
+    else:  # the Wald MoE is 0 once all labels agree: most YAGO SRS runs stop there
+        s = mc.run_trials(yago_pop, "srs", n_trials=200, seed=3)
+        assert s.moe0_share > 0.5
+        assert s.cap_share == 0.0

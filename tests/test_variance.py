@@ -3,12 +3,12 @@ paper's Propositions 1-2 checked by simulation."""
 import numpy as np
 import pytest
 
+from repro.core.cluster_sampling import twcs_draw, weighted_cluster_draws
 from repro.core.cluster_stats import Population
 from repro.core.cost import CostParams
 from repro.core.framework import EvalConfig
 from repro.core.variance import expected_cost_seconds, optimal_m, required_n, v_of_m
 from repro.kg.generator import nell_like
-from repro.sim.mc import _pps_draws
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +19,11 @@ def nell_pop():
 def _twcs_estimates(pop, m, n, trials, seed):
     """Fixed-n TWCS estimates (no stopping rule) for variance checks."""
     rng = np.random.default_rng(seed)
+    cum = np.cumsum(pop.sizes)
     out = np.empty(trials)
     for t in range(trials):
-        ci = _pps_draws(pop, n, rng)
-        sizes, taus = pop.sizes[ci], pop.taus[ci]
-        s = np.minimum(sizes, m)
-        good = rng.hypergeometric(taus, sizes - taus, s)
-        out[t] = (good / s).mean()
+        ci = weighted_cluster_draws(cum, n, rng)
+        out[t] = twcs_draw(pop.sizes, pop.taus, ci, m, rng)[0].mean()
     return out
 
 
