@@ -17,8 +17,10 @@ sizes; see EXPERIMENTS.md):
 - Cluster designs draw ``batch_clusters`` Evaluation Tasks per batch
   (default 20). WCS/TWCS draws are with replacement, so batches are
   independent; RCS slices one seeded permutation of the clusters
-  (without replacement). One ``np.random.default_rng(seed)`` drives
-  every draw of an evaluation.
+  (without replacement) in batches that grow ~25 % per step past
+  ``4 * batch_clusters`` draws (``cluster_sampling.rcs_batch``, shared
+  with the Monte-Carlo trials). One ``np.random.default_rng(seed)``
+  drives every draw of an evaluation.
 
 The stopping rule (:func:`stop_reason`) trusts the Normal-approximation
 MoE only after ``min_units`` primary units, the paper's CLT rule-of-thumb
@@ -191,9 +193,9 @@ def _run_cluster(
         nonlocal n_triples, n_batches
         b, done = config.batch_clusters, len(values)
         if design == "rcs":
-            if done >= n_clusters_pop:
+            drawn = cs.rcs_batch(rcs_order, done, b)
+            if drawn.size == 0:
                 return False
-            drawn = rcs_order[done : done + b]
         else:
             drawn = cs.weighted_cluster_draws(cum_sizes, b, rng)
         sample = cs.second_stage_sample(

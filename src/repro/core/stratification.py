@@ -5,31 +5,21 @@ Two strategies from the paper:
 - **Size stratification**: strata over cluster sizes chosen by the
   Cumulative Square-root-of-Frequency rule (Dalenius & Hodges): build
   the size histogram, accumulate sqrt(frequency), and cut the cumulative
-  curve into H equal intervals. The histogram is a Spark aggregation;
-  the (tiny) boundary computation runs in the driver.
+  curve into H equal intervals.
 - **Oracle stratification**: strata by *true* cluster accuracy mu_i —
   the perfect-but-impractical reference whose cost lower-bounds what any
   stratification signal could achieve (Sec 7.2.3).
 
 Within each stratum the framework runs TWCS; Eq 13 combines the
 per-stratum estimates with weights W_h = M[h] / M.
+
+Everything runs in the driver over the per-cluster arrays that the
+Spark layer aggregates once (``Population``).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-
-def size_histogram(clusters: DataFrame) -> pd.DataFrame:
-    """(size, freq) histogram of cluster sizes via Spark groupBy."""
-    return (
-        clusters.groupBy("size")
-        .agg(F.count(F.lit(1)).alias("freq"))
-        .orderBy("size")
-        .toPandas()
-    )
 
 
 def cum_sqrt_f_boundaries(sizes_hist: pd.DataFrame, n_strata: int) -> np.ndarray:
@@ -56,60 +46,21 @@ def cum_sqrt_f_boundaries(sizes_hist: pd.DataFrame, n_strata: int) -> np.ndarray
     return np.asarray(bounds)
 
 
-def assign_stratum_by_size(clusters: DataFrame, boundaries: np.ndarray) -> DataFrame:
-    """Add a ``stratum`` column: index of the first boundary >= size.
-
-    Implemented as a broadcast join on the (small) distinct-size mapping
-    rather than a CASE chain, so arbitrarily many strata stay cheap.
-    """
-    spark = clusters.sparkSession
-    sizes = [r["size"] for r in clusters.select("size").distinct().collect()]
-    strat = np.searchsorted(boundaries, np.asarray(sizes, dtype=np.float64), side="left")
-    mapping = spark.createDataFrame(
-        pd.DataFrame({"size": sizes, "stratum": strat.astype(np.int32)})
-    )
-    return clusters.join(F.broadcast(mapping), "size").select(
-        "subject", "size", "tau", "stratum"
-    )
-
-
-def assign_stratum_oracle(clusters: DataFrame, n_strata: int) -> DataFrame:
-    """Oracle strata: equal-width bins over true cluster accuracy tau/size."""
-    mu = F.col("tau") / F.col("size")
-    s = F.least(F.floor(mu * n_strata).cast("int"), F.lit(n_strata - 1))
-    return clusters.withColumn("stratum", s)
-
-
-def strata_weights(clusters_with_stratum: DataFrame) -> pd.DataFrame:
-    """(stratum, n_clusters, n_triples, weight) with weight = M[h] / M."""
-    pdf = (
-        clusters_with_stratum.groupBy("stratum")
-        .agg(
-            F.count(F.lit(1)).alias("n_clusters"),
-            F.sum("size").alias("n_triples"),
-        )
-        .orderBy("stratum")
-        .toPandas()
-    )
-    pdf["weight"] = pdf["n_triples"] / pdf["n_triples"].sum()
-    return pdf
-
-
-# ---------------------------------------------------------------------------
-# numpy mirrors for the Monte-Carlo layer (validated against the Spark
-# versions in tests/test_stratification.py)
-# ---------------------------------------------------------------------------
+def np_size_histogram(sizes: np.ndarray) -> pd.DataFrame:
+    """(size, freq) histogram of cluster sizes."""
+    vals, freq = np.unique(np.asarray(sizes), return_counts=True)
+    return pd.DataFrame({"size": vals, "freq": freq})
 
 
 def np_cum_sqrt_f_boundaries(sizes: np.ndarray, n_strata: int) -> np.ndarray:
-    vals, freq = np.unique(np.asarray(sizes), return_counts=True)
-    hist = pd.DataFrame({"size": vals, "freq": freq})
-    return cum_sqrt_f_boundaries(hist, n_strata)
+    return cum_sqrt_f_boundaries(np_size_histogram(sizes), n_strata)
 
 
 def np_assign_stratum_by_size(sizes: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Stratum of each cluster: index of the first boundary >= its size."""
     return np.searchsorted(boundaries, np.asarray(sizes, dtype=np.float64), side="left")
 
 
 def np_assign_stratum_oracle(mus: np.ndarray, n_strata: int) -> np.ndarray:
+    """Oracle strata: equal-width bins over true cluster accuracy."""
     return np.minimum((np.asarray(mus) * n_strata).astype(np.int64), n_strata - 1)

@@ -1,22 +1,24 @@
 """KGEval-style inference-based accuracy evaluation (baseline of Table 6).
 
 Reimplementation of the *mechanism* of Ojha & Talukdar's KGEval (see
-DESIGN.md for the substitution rationale): iteratively pick the
-"control" triple whose annotation would propagate to the most
-still-unlabelled triples, annotate it (human cost: one scattered triple
-per selection, i.e. c1 + c2 each), and run a PSL-like soft label
-propagation over the coupling graph until (almost) the whole KG carries
-a label. KG accuracy is then the mean over all labels, annotated and
-inferred — no confidence interval is available, matching Table 8's
-feature comparison.
+DESIGN.md for the substitution rationale): pick the "control" triple
+whose annotation would propagate to the most still-unlabelled triples,
+annotate it (human cost: one scattered triple per selection, i.e.
+c1 + c2 each), and propagate its label over the coupling graph, until
+the whole KG carries a label. KG accuracy is then the mean over all
+labels, annotated and inferred — no confidence interval is available,
+matching Table 8's feature comparison.
 
 Two deliberate fidelity choices:
 
-- **Machine cost.** Selection re-scores every remaining component per
-  iteration and re-runs the propagation fixed point, as the original
-  system's inference does; machine time is measured and reported in the
-  Table 6 harness (the paper's point is that it is orders of magnitude
-  above TWCS's sampling time).
+- **Machine cost.** ``machine_seconds`` is the wall time of the whole
+  call: adjacency, connected components, control selection and label
+  propagation, i.e. only work that sets the outputs. Components are
+  disjoint, so a remaining component is always wholly unlabelled and the
+  greedy pick reduces to largest component first; each component is
+  walked once. The Table 6 harness adds the Spark coupling-graph build
+  to this; the paper's point is that KGEval's machine time sits orders
+  of magnitude above TWCS's sampling time.
 - **Propagation noise.** Coupling constraints are informative (a Horn
   rule ties triples of equal correctness), so inference recovers each
   covered triple's true label — but only with probability ``fidelity``:
@@ -68,36 +70,20 @@ def _components(n: int, edges: pd.DataFrame) -> np.ndarray:
     return np.asarray([uf.find(i) for i in range(n)], dtype=np.int64)
 
 
-def _propagation_sweep(
-    adj: list[list[int]], beliefs: np.ndarray, anchored: np.ndarray, n_iter: int
-) -> np.ndarray:
-    """PSL-like fixed-point: repeatedly average neighbour beliefs, keeping
-    annotated triples anchored at their observed labels."""
-    b = beliefs.copy()
-    for _ in range(n_iter):
-        nxt = b.copy()
-        for v, neigh in enumerate(adj):
-            if anchored[v] or not neigh:
-                continue
-            nxt[v] = 0.5 * b[v] + 0.5 * float(np.mean([b[u] for u in neigh]))
-        b = nxt
-    return b
-
-
 def kgeval_evaluate(
     triples: pd.DataFrame,
     edges: pd.DataFrame,
     *,
     seed: int,
     fidelity: float = 0.99,
-    coverage_target: float = 1.0,
-    n_prop_iters: int = 8,
     cost: CostParams = CostParams(),
 ) -> KGEvalResult:
-    """Run the greedy select-annotate-propagate loop to coverage_target.
+    """Annotate one control triple per coupled component until every
+    triple carries a label.
 
     ``triples`` needs (tid, label); ``edges`` needs (src, dst) over tids.
     """
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n = len(triples)
     labels_true = triples.sort_values("tid")["label"].to_numpy(np.int64)
@@ -107,33 +93,19 @@ def kgeval_evaluate(
         adj[int(s)].append(int(d))
         adj[int(d)].append(int(s))
 
-    comp = _components(n, edges)
     comp_members: dict[int, list[int]] = {}
-    for i, c in enumerate(comp):
+    for i, c in enumerate(_components(n, edges)):
         comp_members.setdefault(int(c), []).append(i)
 
-    inferred = np.full(n, -1.0)  # -1: unlabelled; else soft belief in [0,1]
-    anchored = np.zeros(n, dtype=bool)
-    n_annotated = 0
-    t0 = time.perf_counter()
-
-    remaining = dict(comp_members)  # components with unlabelled members
-    while remaining and (inferred >= 0).mean() < coverage_target:
-        # Greedy control selection: re-score every remaining component by
-        # how many unlabelled triples one annotation would reach.
-        best_c, best_gain = None, -1
-        for c, members in remaining.items():
-            gain = sum(1 for v in members if inferred[v] < 0)
-            if gain > best_gain:
-                best_c, best_gain = c, gain
-        members = remaining.pop(best_c)
-
+    inferred = np.full(n, -1, dtype=np.int64)  # -1: unlabelled
+    # Greedy control selection: every remaining component is wholly
+    # unlabelled, so one annotation reaches exactly its size. Largest
+    # first; ties keep the order of the components' smallest tids.
+    components = sorted(comp_members.values(), key=len, reverse=True)
+    for members in components:
         # Annotate the component's highest-degree triple (control triple).
         control = max(members, key=lambda v: len(adj[v]))
-        n_annotated += 1
-        obs = labels_true[control]
-        inferred[control] = float(obs)
-        anchored[control] = True
+        inferred[control] = labels_true[control]
 
         # BFS propagation within the component. Real coupling constraints
         # (type consistency, Horn rules) are *informative*: a coupled
@@ -152,34 +124,17 @@ def kgeval_evaluate(
                         continue
                     seen.add(u)
                     lab = labels_true[u]
-                    if rng.random() > fidelity:
-                        lab = 1 - lab
-                    inferred[u] = float(lab)
+                    inferred[u] = 1 - lab if rng.random() > fidelity else lab
                     nxt.append(u)
             frontier = nxt
-        for v in members:  # members unreached by edges (rare) are inferred too
-            if inferred[v] < 0:
-                lab = labels_true[v]
-                if rng.random() > fidelity:
-                    lab = 1 - lab
-                inferred[v] = float(lab)
 
-        # PSL-style fixed-point pass over the labelled region: computes
-        # soft confidences for the hard labels above. This is the
-        # deliberately expensive inference step whose wall-clock the
-        # Table 6 harness reports; the hard inferred labels above stay
-        # as the propagated verdicts.
-        lab_mask = inferred >= 0
-        beliefs = np.where(lab_mask, np.maximum(inferred, 0.0), 0.5)
-        _propagation_sweep(adj, beliefs, anchored, n_prop_iters)
-
-    machine_seconds = time.perf_counter() - t0
+    n_annotated = len(components)
     lab_mask = inferred >= 0
-    mu_hat = float((inferred[lab_mask] >= 0.5).mean()) if lab_mask.any() else 0.0
+    mu_hat = float(inferred[lab_mask].mean()) if lab_mask.any() else 0.0
     return KGEvalResult(
         mu_hat=mu_hat,
         n_annotated=n_annotated,
         annotation_hours=cost.cost_hours(n_annotated, n_annotated),
-        machine_seconds=machine_seconds,
+        machine_seconds=time.perf_counter() - t0,
         coverage=float(lab_mask.mean()),
     )

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.cluster_sampling import (
     estimate_cluster_means,
     estimate_rcs,
+    rcs_batch,
     twcs_draw,
     weighted_cluster_draws,
 )
@@ -166,25 +167,17 @@ def wcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> Tri
 
 
 def rcs_trial(pop: Population, rng: np.random.Generator, cfg: EvalConfig) -> TrialResult:
-    """Iterative RCS: uniform cluster draws without replacement.
-
-    RCS converges orders of magnitude slower than the other designs on
-    wide cluster-size distributions (its Table 5 result), so the batch
-    grows geometrically (~25%/step) to keep the estimate-recompute loop
-    near-linear; the slight stopping overshoot only affects a design the
-    paper already reports as blowing the budget.
-    """
+    """Iterative RCS: uniform cluster draws without replacement, in the
+    growing batches of ``rcs_batch`` (as the Spark framework draws them)."""
     order = rng.permutation(pop.n_clusters)
     taus: list[float] = []
     n_triples = 0
 
     def draw_batch() -> bool:
         nonlocal n_triples
-        pos = len(taus)
-        take = min(max(cfg.batch_clusters, pos // 4), pop.n_clusters - pos)
-        if take <= 0:
+        ci = rcs_batch(order, len(taus), cfg.batch_clusters)
+        if ci.size == 0:
             return False
-        ci = order[pos : pos + take]
         taus.extend(pop.taus[ci].astype(float).tolist())
         n_triples += int(pop.sizes[ci].sum())
         return True

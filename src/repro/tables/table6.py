@@ -3,9 +3,12 @@
 Machine time for sample generation/inference, number of triples
 annotated, annotation hours, and the accuracy estimate. KGEval is the
 inference-propagation substitute (see DESIGN.md); its machine time is
-the measured greedy-selection + propagation loop on the coupled KG —
-the paper's point being that it sits orders of magnitude above TWCS's
-sampling time and grows with KG size, while TWCS stays sub-second.
+the Spark coupling-graph build plus the whole ``kgeval_evaluate`` call
+(adjacency, components, control selection, propagation). TWCS's machine
+time is the mean wall time of one Monte-Carlo evaluation over the
+cluster arrays, so it excludes the Spark cluster aggregation those
+arrays come from. The paper's point: KGEval's machine time sits orders
+of magnitude above TWCS's sampling time, while TWCS stays sub-second.
 """
 from __future__ import annotations
 
@@ -46,7 +49,9 @@ def compute(spark: SparkSession, *, trials: int | None = None, seed: int = 3) ->
         # --- KGEval: coupling graph built by Spark joins, inference on
         # the collected graph (its real-world scalability ceiling).
         sdf = kg.to_spark(spark)
+        t0 = time.perf_counter()
         triples, edges = build_coupling(sdf, mean_group=_MEAN_GROUP[name], seed=seed)
+        build_seconds = time.perf_counter() - t0
         kge = kgeval_evaluate(triples, edges, seed=seed)
 
         # --- TWCS: MC summary for costs + measured sampling time.
@@ -61,7 +66,7 @@ def compute(spark: SparkSession, *, trials: int | None = None, seed: int = 3) ->
                 "KG": name,
                 "method": "KGEval",
                 "machine time (paper)": p_k["machine"],
-                "machine time (ours)": f"{kge.machine_seconds:.1f} s",
+                "machine time (ours)": f"{build_seconds + kge.machine_seconds:.1f} s",
                 "# annotated (paper)": p_k["annotated"],
                 "# annotated (ours)": kge.n_annotated,
                 "annotation h (paper)": p_k["hours"],

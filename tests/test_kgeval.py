@@ -92,11 +92,31 @@ class TestKGEvalEvaluate:
         assert r.mu_hat == 1.0
         assert r.n_annotated == 1  # one control triple covers the component
 
-    def test_partial_coverage_target(self):
-        triples = pd.DataFrame({"tid": range(10), "label": [1] * 10})
-        edges = pd.DataFrame({"src": [], "dst": []})
-        r = kgeval_evaluate(triples, edges, seed=7, coverage_target=0.5)
-        assert 5 <= r.n_annotated <= 6  # singleton components, half covered
+    @pytest.mark.parametrize(
+        "labels,mu_hat",
+        [
+            # Controls 2, 4, 6 keep 1; the other four flip to 0.
+            ([1, 1, 1, 1, 1, 1, 1], 3 / 7),
+            # Controls keep 0 and every other 1 flips: all 0. A wrong
+            # control (e.g. tid 5 on the tied pair) would leave a 1.
+            ([1, 1, 0, 1, 0, 1, 0], 0.0),
+            # Inferred: 0, 1, 1, 0 | 0, 0 | 0.
+            ([1, 0, 1, 1, 0, 1, 0], 2 / 7),
+        ],
+        ids=["all_right", "controls_wrong", "mixed"],
+    )
+    def test_zero_fidelity_mechanism_on_three_components(self, labels, mu_hat):
+        """A star {0,1,2,3} around tid 2, a pair {4,5}, a singleton {6}.
+
+        With fidelity 0 each control triple (highest degree, ties to the
+        lowest tid) keeps its true label and every other triple is flipped.
+        """
+        triples = pd.DataFrame({"tid": range(7), "label": labels})
+        edges = pd.DataFrame({"src": [0, 1, 2, 4], "dst": [2, 2, 3, 5]})
+        r = kgeval_evaluate(triples, edges, seed=7, fidelity=0.0)
+        assert r.n_annotated == 3
+        assert r.coverage == 1.0
+        assert r.mu_hat == pytest.approx(mu_hat)
 
     def test_machine_time_measured(self, nell_coupled):
         triples, edges = nell_coupled

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_stats import Population
-from repro.core.framework import evaluate_static
+from repro.core.framework import EvalConfig, evaluate_static
 from repro.kg.generator import nell_like
 from repro.sim import mc
 
@@ -65,3 +65,18 @@ class TestSrsEquivalence:
         assert n_spark == pytest.approx(
             sim.triples_mean, abs=4 * sim.triples_sd / np.sqrt(N_SPARK) + 5
         )
+
+
+class TestRcsEquivalence:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_spark_and_mc_draw_the_same_sample(self, nell_df, nell_pop, seed):
+        """Both draw one permutation from default_rng(seed) and batch it
+        with ``rcs_batch``, so the whole run matches, not just in law."""
+        cfg = EvalConfig()
+        spark = evaluate_static(nell_df, design="rcs", seed=seed, config=cfg)
+        sim = mc.rcs_trial(nell_pop, np.random.default_rng(seed), cfg)
+        assert spark.n_draws == sim.n_draws
+        assert spark.n_triples == sim.n_triples
+        assert spark.hours == sim.hours
+        assert spark.estimate.mu_hat == sim.mu_hat
+        assert spark.stop_reason == sim.stop_reason

@@ -1,21 +1,18 @@
 """Tests for stratification (Sec 5.3): cum-sqrt-F boundaries, stratum
-assignment (Spark vs numpy mirrors), weights, and variance reduction."""
+assignment (DuckDB oracle checks), and variance reduction."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cluster_stats import Population, cluster_stats_df
+from repro.core.cluster_stats import Population
 from repro.core.stratification import (
-    assign_stratum_by_size,
-    assign_stratum_oracle,
     cum_sqrt_f_boundaries,
     np_assign_stratum_by_size,
     np_assign_stratum_oracle,
     np_cum_sqrt_f_boundaries,
-    size_histogram,
-    strata_weights,
+    np_size_histogram,
 )
-from repro.kg.generator import movie_like, nell_like
+from repro.kg.generator import movie_like
 from repro.oracle import assert_equivalent
 
 
@@ -25,19 +22,22 @@ def movie_small():
 
 
 @pytest.fixture(scope="module")
-def clusters(spark, movie_small):
-    return cluster_stats_df(movie_small.to_spark(spark)).cache()
+def kg_pdf(movie_small):
+    return movie_small.to_pandas()
+
+
+def _strata(kg, strata):
+    return pd.DataFrame({"subject": kg.subjects(), "stratum": strata})
 
 
 class TestSizeHistogram:
-    def test_oracle(self, spark, movie_small, clusters):
-        got = spark.createDataFrame(size_histogram(clusters))
+    def test_oracle(self, movie_small, kg_pdf):
         assert_equivalent(
-            got,
+            np_size_histogram(movie_small.sizes),
             "SELECT size, COUNT(*) AS freq FROM "
             "(SELECT subject, COUNT(*) AS size FROM kg GROUP BY subject) "
             "GROUP BY size",
-            kg=movie_small.to_pandas(),
+            kg=kg_pdf,
         )
 
 
@@ -69,16 +69,16 @@ class TestBoundaries:
 
 
 class TestAssignment:
-    def test_spark_matches_numpy_mirror(self, clusters, movie_small):
+    def test_size_strata_oracle(self, movie_small, kg_pdf):
+        """Stratum = number of boundaries below the cluster's size."""
         b = np_cum_sqrt_f_boundaries(movie_small.sizes, 4)
-        got = (
-            assign_stratum_by_size(clusters, b)
-            .orderBy("subject")
-            .toPandas()["stratum"]
-            .to_numpy()
+        assert_equivalent(
+            _strata(movie_small, np_assign_stratum_by_size(movie_small.sizes, b)),
+            "SELECT subject, (SELECT COUNT(*) FROM bounds WHERE bounds.b < c.size) "
+            "AS stratum FROM (SELECT subject, COUNT(*) AS size FROM kg GROUP BY subject) c",
+            kg=kg_pdf,
+            bounds=pd.DataFrame({"b": b}),
         )
-        want = np_assign_stratum_by_size(movie_small.sizes, b)
-        assert (got == want).all()
 
     def test_all_strata_nonempty(self, movie_small):
         b = np_cum_sqrt_f_boundaries(movie_small.sizes, 4)
@@ -90,24 +90,14 @@ class TestAssignment:
         s = np_assign_stratum_oracle(mus, 4)
         assert s.tolist() == [0, 0, 2, 3, 3]
 
-    def test_oracle_spark_matches_numpy(self, clusters, movie_small):
-        got = (
-            assign_stratum_oracle(clusters, 4)
-            .orderBy("subject")
-            .toPandas()["stratum"]
-            .to_numpy()
+    def test_oracle_strata_oracle(self, movie_small, kg_pdf):
+        """Oracle stratum = floor(4 * tau/size), with accuracy 1 in the top bin."""
+        assert_equivalent(
+            _strata(movie_small, np_assign_stratum_oracle(movie_small.cluster_accuracies, 4)),
+            "SELECT subject, LEAST(CAST(FLOOR(CAST(SUM(label) AS DOUBLE) / COUNT(*) * 4) "
+            "AS INTEGER), 3) AS stratum FROM kg GROUP BY subject",
+            kg=kg_pdf,
         )
-        want = np_assign_stratum_oracle(movie_small.cluster_accuracies, 4)
-        assert (got == want).all()
-
-
-class TestStrataWeights:
-    def test_weights_sum_to_one_and_match_counts(self, clusters, movie_small):
-        b = np_cum_sqrt_f_boundaries(movie_small.sizes, 3)
-        w = strata_weights(assign_stratum_by_size(clusters, b))
-        assert w["weight"].sum() == pytest.approx(1.0)
-        assert w["n_triples"].sum() == movie_small.n_triples
-        assert w["n_clusters"].sum() == movie_small.n_entities
 
 
 class TestVarianceReduction:
